@@ -31,13 +31,16 @@ class Scheduler {
   struct Workload {
     std::function<bool(Request*)> gen_low;
     std::function<bool(Request*)> gen_high;
+    // Set `execute` or `step`. Workers run every low-priority transaction
+    // through one slot dispatcher: a one-shot `execute` is the degenerate
+    // one-step StepFn and runs at depth 1.
     ExecuteFn execute = nullptr;
     // Resumable executor (CoroBase-style interleaving). When set, workers
-    // dispatch low-priority work through the slot dispatcher, stepping up to
-    // tunables().interleave_slots() transactions round-robin; `execute` may
-    // be left null (when both are set, `step` wins and `execute` is
-    // ignored). High-priority requests always run to completion in one go
-    // (steps driven back-to-back), so preemption latency is unchanged.
+    // step up to tunables().interleave_slots() low-priority transactions
+    // round-robin; `execute` may be left null (when both are set, `step`
+    // wins and `execute` is ignored). High-priority requests always run to
+    // completion in one go (steps driven back-to-back), so preemption
+    // latency is unchanged.
     StepFn step = nullptr;
     void* exec_ctx = nullptr;
     // Invoked (on the scheduling thread) for each high-priority request

@@ -74,7 +74,9 @@ struct TunableValues {
   // Interleaving slots per worker (CoroBase-style batch depth): how many
   // resumable low-priority transactions a worker round-robins at once.
   // 1 = classic one-at-a-time execution; only consulted when the workload
-  // installs a StepFn. Runtime-tunable so the adaptive controller can trade
+  // installs a StepFn (a one-shot ExecuteFn always dispatches at depth 1, so
+  // Wait/Cooperative still check the HP queue between every pair of LP
+  // transactions). Runtime-tunable so the adaptive controller can trade
   // LP throughput (deeper batch) against cache pressure.
   int interleave_slots = 1;
 };

@@ -2,6 +2,7 @@
 
 #include <sched.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -15,9 +16,10 @@ namespace preemptdb::sched {
 
 namespace {
 
-// Interleaving observability (sched.interleave.*). Average slot occupancy is
-// steps/rounds (each round steps every active slot once), steps-per-txn is
-// steps/txns, prefetch rate is prefetch_issued/steps.
+// Slot-dispatcher observability (sched.interleave.*); every low-priority
+// transaction is counted, a one-shot one at 1 step. Average slot occupancy
+// is steps/rounds (each round steps every active slot once), steps-per-txn
+// is steps/txns, prefetch rate is prefetch_issued/steps.
 obs::Counter g_ilv_steps("sched.interleave.steps");
 obs::Counter g_ilv_rounds("sched.interleave.rounds");
 obs::Counter g_ilv_txns("sched.interleave.txns");
@@ -84,8 +86,8 @@ void Worker::ThreadBody() {
                                             uintr::kDefaultFiberStackBytes,
                                             config_.pending_mode),
                     std::memory_order_release);
-    // Delivery is enabled only while a low-priority transaction runs
-    // (Stui/Clui brackets in MainLoop).
+    // Delivery is enabled only while a low-priority step runs (Stui/Clui
+    // brackets in MainLoop).
     uintr::Clui();
   }
   if (config_.policy == Policy::kCooperative) {
@@ -112,16 +114,12 @@ void Worker::ThreadBody() {
   }
 }
 
-void Worker::RunRequest(const Request& req, bool count_starvation) {
-  // arg = submitting shard so sharded-front-end traces attribute each txn to
-  // the event loop that admitted it (0 for single-shard / non-net work).
-  obs::Trace(obs::EventType::kTxnStart, req.type, req.shard_id);
-  // Timeline bookkeeping happens strictly before execute_: once the
-  // executor fires the completion callback (inside execute_), the timeline's
-  // owner may free it, so nothing here may touch *req.timeline afterwards —
-  // only the thread-local pointer is restored. The previous active timeline
-  // is preserved because the preemptive context runs HP requests *above* a
-  // paused LP transaction whose timeline must come back into effect.
+StepResult Worker::Step(const Request& req, StepContext* sc) {
+  // Timeline bookkeeping brackets the executor call: between steps another
+  // slot's transaction (or, in the preemptive context, the paused LP
+  // transaction) owns the thread's active timeline. Only the pointer is
+  // restored afterwards — on the final step the executor's completion
+  // callback may already have freed *req.timeline.
   obs::TxnTimeline* prev_tl = nullptr;
   if (req.timeline != nullptr) {
     if (req.timeline->first_run_ns == 0) {
@@ -129,24 +127,19 @@ void Worker::RunRequest(const Request& req, bool count_starvation) {
     }
     prev_tl = obs::SetActiveTimeline(req.timeline);
   }
-  uint64_t c0 = count_starvation ? RdtscP() : 0;
-  Rc rc;
-  if (step_ == nullptr) {
-    rc = execute_(req, exec_ctx_, id_);
+  StepResult sr;
+  if (step_ != nullptr) {
+    sr = step_(req, exec_ctx_, id_, sc);
   } else {
-    // StepFn workload: drive the resumable executor to completion
-    // back-to-back. High-priority requests take this route, so a StepFn
-    // workload needs no separate one-shot executor and preemption latency
-    // is unchanged (no sibling work is interposed here).
-    StepContext sc;
-    StepResult sr;
-    do {
-      sr = step_(req, exec_ctx_, id_, &sc);
-      ++sc.steps;
-    } while (sr.status != StepStatus::kDone);
-    rc = sr.rc;
+    // A one-shot executor is the degenerate StepFn: everything in one step.
+    sr.rc = execute_(req, exec_ctx_, id_);
   }
   if (req.timeline != nullptr) obs::SetActiveTimeline(prev_tl);
+  ++sc->steps;
+  return sr;
+}
+
+void Worker::Complete(const Request& req, Rc rc) {
   uint64_t done = MonoNanos();
   metrics_->Record(req.type, req.gen_ns, done, rc);
   if (IsOk(rc)) {
@@ -154,6 +147,22 @@ void Worker::RunRequest(const Request& req, bool count_starvation) {
   } else {
     obs::Trace(obs::EventType::kTxnAbort, req.type);
   }
+}
+
+void Worker::RunRequest(const Request& req, bool count_starvation) {
+  // arg = submitting shard so sharded-front-end traces attribute each txn to
+  // the event loop that admitted it (0 for single-shard / non-net work).
+  obs::Trace(obs::EventType::kTxnStart, req.type, req.shard_id);
+  uint64_t c0 = count_starvation ? RdtscP() : 0;
+  // Steps are driven back-to-back: a high-priority request never occupies a
+  // slot, so no sibling work is interposed and preemption latency does not
+  // depend on the executor contract.
+  StepContext sc;
+  StepResult sr;
+  do {
+    sr = Step(req, &sc);
+  } while (sr.status != StepStatus::kDone);
+  Complete(req, sr.rc);
   if (count_starvation) {
     th_cycles_.fetch_add(RdtscP() - c0, std::memory_order_relaxed);
   }
@@ -177,10 +186,6 @@ bool Worker::StarvationExceeded() const {
 }
 
 void Worker::MainLoop() {
-  if (step_ != nullptr) {
-    InterleaveLoop();
-    return;
-  }
   // Regular-path queue preference (paper §4.1): under Wait/Cooperative the
   // worker checks the high-priority queue first at every transaction
   // boundary and exhausts it before the next Q2 — that is the only way HP
@@ -192,68 +197,16 @@ void Worker::MainLoop() {
   // A degraded preempt worker flips to the cooperative preference at runtime:
   // with its interrupts undeliverable, boundary checks are the only way HP
   // work starts promptly.
-  const bool policy_prefers_hp = config_.policy != Policy::kPreempt;
-  int idle_polls = 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    const bool prefer_hp =
-        policy_prefers_hp || degraded_.load(std::memory_order_relaxed);
-    Request req;
-    auto try_hp = [&] {
-      // The drain is wrapped in a non-preemptible region so an interrupt
-      // arriving here is dropped rather than stacking a second drain on
-      // top of this one.
-      uintr::NonPreemptibleRegion guard;
-      return hp_queue_.TryPop(&req);
-    };
-    auto run_hp = [&] {
-      idle_polls = 0;
-      obs::Trace(obs::EventType::kHpDequeue, /*popped_by_preempt=*/0);
-      RunRequest(req, /*count_starvation=*/false);
-      hp_executed_.fetch_add(1, std::memory_order_relaxed);
-    };
-    if (prefer_hp && try_hp()) {
-      run_hp();
-      continue;
-    }
-    if (lp_queue_.TryPop(&req)) {
-      idle_polls = 0;
-      // Start-of-LP bookkeeping (paper Fig. 7): record T0, reset T_h.
-      th_cycles_.store(0, std::memory_order_release);
-      t0_cycles_.store(RdtscP(), std::memory_order_release);
-      // Interrupts are meaningful only while a low-priority transaction is
-      // in progress — that is what preemption pauses. Masking delivery
-      // outside this window (clui/stui, §2.3) keeps a saturating
-      // high-priority stream from interrupt-storming the regular path so
-      // hard that it never reaches the next low-priority transaction.
-      uintr::Stui();
-      RunRequest(req, /*count_starvation=*/false);
-      uintr::Clui();
-      t0_cycles_.store(0, std::memory_order_release);
-      lp_executed_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!prefer_hp && try_hp()) {
-      run_hp();
-      continue;
-    }
-    idle_polls = idle_polls < 1000 ? idle_polls + 1 : idle_polls;
-    if (idle_polls > 100) {
-      // Deep idle: sleep instead of spinning so active threads (and signal
-      // deliveries) get the core promptly on small machines.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    } else {
-      sched_yield();
-    }
-  }
-}
-
-void Worker::InterleaveLoop() {
-  // Interleaving variant of MainLoop (step_ != nullptr). The queue
-  // preference rules are the legacy loop's, applied at dispatch-round
-  // boundaries: every active slot is suspended between rounds, so running a
-  // high-priority request to completion there is exactly the cooperative
-  // yield-point behaviour (HP work nests above paused LP transactions that
-  // hold no latches at suspension points).
+  //
+  // Low-priority work runs through a CoroBase-style slot array: up to
+  // `depth` resumable transactions are round-robined one step at a time, so
+  // a stalled slot's sibling runs while the stalled one's prefetched line
+  // arrives. The preference rules apply at dispatch-round boundaries, where
+  // every active slot is suspended; running a high-priority request to
+  // completion there is exactly the cooperative yield-point behaviour (HP
+  // work nests above paused LP transactions that hold no latches at
+  // suspension points). A one-shot ExecuteFn finishes in its first step and
+  // keeps depth 1, so every LP transaction boundary is a round boundary.
   const bool policy_prefers_hp = config_.policy != Policy::kPreempt;
 
   struct Slot {
@@ -262,7 +215,7 @@ void Worker::InterleaveLoop() {
     bool active = false;
   };
   Slot slots[kInterleaveSlotsMax];
-  size_t active = 0;
+  int active = 0;
   // Starvation-window anchor (paper Fig. 7 generalized to a batch): t0/th
   // track the lifetime of one in-progress LP transaction. With a slot batch
   // the window is anchored to one designated active slot; when that slot's
@@ -273,20 +226,24 @@ void Worker::InterleaveLoop() {
   size_t rr = 0;  // round-robin start cursor, advanced once per round
   int idle_polls = 0;
 
+  Request hp_req;
+  auto try_hp = [&] {
+    // The drain is wrapped in a non-preemptible region so an interrupt
+    // arriving here is dropped rather than stacking a second drain on top
+    // of this one.
+    uintr::NonPreemptibleRegion guard;
+    return hp_queue_.TryPop(&hp_req);
+  };
+  auto run_hp = [&] {
+    idle_polls = 0;
+    obs::Trace(obs::EventType::kHpDequeue, /*popped_by_preempt=*/0);
+    RunRequest(hp_req, /*count_starvation=*/false);
+    hp_executed_.fetch_add(1, std::memory_order_relaxed);
+  };
+
   while (!stop_.load(std::memory_order_acquire) || active > 0) {
     const bool prefer_hp =
         policy_prefers_hp || degraded_.load(std::memory_order_relaxed);
-    Request hp_req;
-    auto try_hp = [&] {
-      uintr::NonPreemptibleRegion guard;
-      return hp_queue_.TryPop(&hp_req);
-    };
-    auto run_hp = [&] {
-      idle_polls = 0;
-      obs::Trace(obs::EventType::kHpDequeue, /*popped_by_preempt=*/0);
-      RunRequest(hp_req, /*count_starvation=*/false);
-      hp_executed_.fetch_add(1, std::memory_order_relaxed);
-    };
     if (prefer_hp && try_hp()) {
       run_hp();
       continue;
@@ -295,11 +252,12 @@ void Worker::InterleaveLoop() {
     // Refill free slots up to the live interleave depth. Depth shrink takes
     // effect by attrition (extra active slots finish and are not refilled).
     if (!stop_.load(std::memory_order_acquire)) {
-      int want = tunables_->interleave_slots();
-      if (want < kInterleaveSlotsMin) want = kInterleaveSlotsMin;
-      if (want > kInterleaveSlotsMax) want = kInterleaveSlotsMax;
-      for (int i = 0; i < kInterleaveSlotsMax && static_cast<int>(active) < want;
-           ++i) {
+      int depth = 1;
+      if (step_ != nullptr) {
+        depth = std::clamp(tunables_->interleave_slots(), kInterleaveSlotsMin,
+                           kInterleaveSlotsMax);
+      }
+      for (int i = 0; i < kInterleaveSlotsMax && active < depth; ++i) {
         Slot& s = slots[i];
         if (s.active) continue;
         if (!lp_queue_.TryPop(&s.req)) break;
@@ -325,38 +283,20 @@ void Worker::InterleaveLoop() {
         size_t idx = (rr + i) % kInterleaveSlotsMax;
         Slot& s = slots[idx];
         if (!s.active) continue;
-        // Timeline bookkeeping per step: between steps another slot's
-        // transaction owns the thread's active timeline, so install/restore
-        // brackets every step. Restores only the pointer — on the final
-        // step the executor's completion callback may have freed *timeline.
-        obs::TxnTimeline* prev_tl = nullptr;
-        if (s.req.timeline != nullptr) {
-          if (s.req.timeline->first_run_ns == 0) {
-            s.req.timeline->first_run_ns = MonoNanos();
-          }
-          prev_tl = obs::SetActiveTimeline(s.req.timeline);
-        }
-        // Interrupt delivery is enabled exactly while a low-priority step
-        // runs (same Stui/Clui window as the legacy loop's RunRequest): a
-        // preempt pauses whichever slot is live and the starvation drain in
+        // Interrupts are meaningful only while a low-priority step runs —
+        // that is what preemption pauses, and the starvation drain in
         // PreemptLoop accounts its cycles into the current t0/th window.
+        // Masking delivery outside this window (clui/stui, §2.3) keeps a
+        // saturating high-priority stream from interrupt-storming the
+        // regular path so hard that it never reaches the next step.
         uintr::Stui();
-        StepResult sr = step_(s.req, exec_ctx_, id_, &s.sc);
+        StepResult sr = Step(s.req, &s.sc);
         uintr::Clui();
-        ++s.sc.steps;
         ++stepped;
-        if (s.req.timeline != nullptr) obs::SetActiveTimeline(prev_tl);
         if (sr.status == StepStatus::kDone) {
-          uint64_t done = MonoNanos();
-          metrics_->Record(s.req.type, s.req.gen_ns, done, sr.rc);
-          if (IsOk(sr.rc)) {
-            obs::Trace(obs::EventType::kTxnCommit, s.req.type,
-                       done - s.req.gen_ns);
-          } else {
-            obs::Trace(obs::EventType::kTxnAbort, s.req.type);
-          }
+          Complete(s.req, sr.rc);
           g_ilv_txns.Add();
-          g_ilv_prefetch.Add(s.sc.prefetches);
+          if (s.sc.prefetches > 0) g_ilv_prefetch.Add(s.sc.prefetches);
           s.active = false;
           --active;
           lp_executed_.fetch_add(1, std::memory_order_relaxed);
@@ -399,6 +339,8 @@ void Worker::InterleaveLoop() {
     }
     idle_polls = idle_polls < 1000 ? idle_polls + 1 : idle_polls;
     if (idle_polls > 100) {
+      // Deep idle: sleep instead of spinning so active threads (and signal
+      // deliveries) get the core promptly on small machines.
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     } else {
       sched_yield();
@@ -445,7 +387,7 @@ void Worker::PreemptLoop() {
     }
     if (paused_tl != nullptr && obs::ActiveTimeline() == paused_tl) {
       // The pause is over: the paused transaction resumes right after the
-      // swap below. (The identity re-check is paranoia — RunRequest always
+      // swap below. (The identity re-check is paranoia — Step always
       // restores — but a stale pointer here would be a write-after-free.)
       paused_tl->last_resume_ns = MonoNanos();
       obs::Trace(obs::EventType::kTxnResume, paused_tl->preempts);

@@ -24,9 +24,9 @@ class Worker {
   // `tunables` is the owning scheduler's runtime knob registry (outlives the
   // worker); the worker reads the starvation knobs from it on every drain
   // and the interleave depth on every slot refill. Exactly one of
-  // `execute` / `step` must be non-null for the worker to run work; when
-  // `step` is set the main loop dispatches low-priority transactions through
-  // the interleaving slot array (see InterleaveLoop).
+  // `execute` / `step` must be non-null for the worker to run work; `step`
+  // wins when both are set, and a one-shot `execute` runs as a StepFn that
+  // finishes in one step (see Step).
   Worker(int id, const SchedulerConfig& config, const TunableConfig* tunables,
          ExecuteFn execute, StepFn step, void* exec_ctx, Metrics* metrics);
   ~Worker();
@@ -88,20 +88,23 @@ class Worker {
   static void YieldHookThunk();
 
   void ThreadBody();
+  // The regular scheduling path (context 1): applies the HP queue
+  // preference at transaction boundaries and dispatches low-priority work
+  // through a CoroBase-style slot array, round-robining up to
+  // tunables->interleave_slots() resumable transactions (depth 1 for a
+  // one-shot executor) with each step bracketed by Stui/Clui.
   void MainLoop();
-  // CoroBase-style interleaving dispatcher (MainLoop body when a StepFn is
-  // installed): round-robins up to tunables->interleave_slots() resumable
-  // low-priority transactions over a fixed slot array so a stalled slot's
-  // sibling runs while the stalled one's prefetched line arrives. Preserves
-  // the legacy loop's Stui/Clui brackets (per step), t0/th starvation
-  // window (per oldest-active-slot), and HP queue preference rules.
-  void InterleaveLoop();
   void PreemptLoop();  // context-2 body; never returns
   void YieldHook();    // cooperative yield point
 
-  // Runs one request and records metrics. `count_starvation` accumulates
-  // its cycles into T_h (used when running in the preemptive context above a
-  // paused low-priority transaction).
+  // Advances `req` by one step with its timeline installed — the only call
+  // site of the executor. A one-shot ExecuteFn always returns kDone.
+  StepResult Step(const Request& req, StepContext* sc);
+  // Records a finished transaction's metrics and commit/abort trace event.
+  void Complete(const Request& req, Rc rc);
+  // Runs a high-priority request to completion and records it.
+  // `count_starvation` accumulates its cycles into T_h (used when running in
+  // the preemptive context above a paused low-priority transaction).
   void RunRequest(const Request& req, bool count_starvation);
 
   // True if the starvation threshold forbids running more high-priority

@@ -73,10 +73,25 @@ void SwitchTo(Receiver* r, int target) {
   obs::Trace(obs::EventType::kFiberSwitchIn, static_cast<uint32_t>(from->id));
 }
 
+// errno is glibc TLS, which is not swapped per context: the high-priority
+// transactions the preemptive context runs make syscalls, so without this
+// the paused code could resume between a failing syscall and its errno check
+// and read the preemptive context's errno instead of its own.
+class ErrnoGuard {
+ public:
+  ErrnoGuard() : saved_(errno) {}
+  ~ErrnoGuard() { errno = saved_; }
+  PDB_DISALLOW_COPY_AND_ASSIGN(ErrnoGuard);
+
+ private:
+  const int saved_;
+};
+
 // The uintr handler (paper Alg. 1). Runs on the interrupted context's stack;
 // the kernel-pushed signal frame below us is the uintr frame analog and
 // stays frozen across the context switch until we return.
 void SigurgHandler(int /*signo*/, siginfo_t* /*info*/, void* /*uctx*/) {
+  ErrnoGuard errno_guard;
   Receiver* r = tls_receiver;
   if (r == nullptr) return;  // stray signal during registration/teardown
   r->stats.received.fetch_add(1, std::memory_order_relaxed);

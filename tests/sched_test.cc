@@ -2,8 +2,10 @@
 // batched on-demand preemption, starvation prevention, metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <tuple>
 
 #include "engine/hooks.h"
 #include "sched/scheduler.h"
@@ -327,6 +329,121 @@ TEST(Scheduler, ShedCallbackReceivesUnplacedRequests) {
   EXPECT_EQ(shed.load(), s.hp_dropped());
   EXPECT_GT(shed.load(), 0u);
 }
+
+// One-shot workload that logs the order in which transactions start and end
+// on a single worker. LP requests spin for 20 ms without touching a yield
+// point, so the only place HP work can run is a transaction boundary. The HP
+// generator admits at most one request per LP transaction, and the LP does
+// not end before that request is in the worker's HP queue, so "admitted
+// while LP k runs" holds exactly.
+struct BoundaryLogWorkload {
+  static constexpr uint64_t kLpUs = 20000;
+  static constexpr int kMaxLp = 256;
+  static constexpr int kAbandoned = -2;
+
+  Scheduler* sched = nullptr;
+  std::atomic<uint64_t> seq{0};  // global event order
+  std::atomic<int> lp_started{0};
+  std::atomic<int> running_lp{-1};  // index of the LP in progress, or -1
+  std::atomic<uint64_t> running_since_us{0};
+  std::atomic<int> hp_for{-1};  // LP index the last HP was announced for
+  std::atomic<uint64_t> lp_start_seq[kMaxLp] = {};
+  std::atomic<uint64_t> hp_end_seq[kMaxLp] = {};  // 0 = HP never finished
+
+  static Rc Execute(const Request& req, void* ctx, int /*worker*/) {
+    auto* self = static_cast<BoundaryLogWorkload*>(ctx);
+    if (req.priority == Priority::kHigh) {
+      int k = static_cast<int>(req.params[0]);
+      self->hp_end_seq[k].store(self->seq.fetch_add(1) + 1);
+      return Rc::kOk;
+    }
+    int k = self->lp_started.fetch_add(1);
+    if (k < kMaxLp) self->lp_start_seq[k].store(self->seq.fetch_add(1) + 1);
+    self->running_since_us.store(MonoMicros());
+    self->running_lp.store(k);
+    uint64_t until = MonoMicros() + kLpUs;
+    while (MonoMicros() < until) {
+    }
+    self->running_lp.store(-1);
+    // An HP announced for this LP is either abandoned or placed; wait for
+    // the placement (bounded) so it always lands before this LP ends.
+    while (self->hp_for.load() == k && self->sched->worker(0).HpDepth() == 0 &&
+           MonoMicros() < until + 1'000'000) {
+    }
+    return Rc::kOk;
+  }
+
+  Scheduler::Workload Hooks() {
+    Scheduler::Workload w;
+    w.execute = &BoundaryLogWorkload::Execute;
+    w.exec_ctx = this;
+    w.gen_low = [](Request* out) {
+      out->type = 0;
+      return true;
+    };
+    w.gen_high = [this](Request* out) {
+      int k = running_lp.load();
+      if (k < 0 || k >= kMaxLp - 1 || hp_for.load() == k) return false;
+      uint64_t ran_us = MonoMicros() - running_since_us.load();
+      if (ran_us < 2000 || ran_us > 10000) return false;
+      // Announce, then re-check that LP k still runs: the LP clears
+      // running_lp before it reads hp_for, so one side sees the other.
+      hp_for.store(k);
+      if (running_lp.load() != k) {
+        hp_for.store(kAbandoned);
+        return false;
+      }
+      out->type = 1;
+      out->params[0] = static_cast<uint64_t>(k);
+      return true;
+    };
+    return w;
+  }
+};
+
+class OneShotBoundaryTest
+    : public ::testing::TestWithParam<std::tuple<Policy, int>> {};
+
+TEST_P(OneShotBoundaryTest, HpAdmittedDuringLpRunsBeforeNextLp) {
+  // interleave_slots only shapes StepFn workloads: a one-shot executor keeps
+  // depth 1 at any setting, so Wait and Cooperative still check the HP
+  // queue between every pair of LP transactions.
+  auto [policy, slots] = GetParam();
+  BoundaryLogWorkload wl;
+  auto cfg = BaseConfig(policy);
+  cfg.num_workers = 1;
+  cfg.arrival_interval_us = 1000;
+  cfg.lp_queue_capacity = 8;  // enough queued LP work to fill 8 slots
+  Scheduler s(cfg, wl.Hooks());
+  wl.sched = &s;
+  TunableConfig::ChangeSet cs;
+  cs.interleave_slots = slots;
+  ASSERT_TRUE(s.tunables().Apply(cs));
+  RunFor(s, 400ms);
+
+  int lps = std::min(wl.lp_started.load(), BoundaryLogWorkload::kMaxLp);
+  int checked = 0;
+  for (int k = 0; k + 1 < lps; ++k) {
+    uint64_t hp_end = wl.hp_end_seq[k].load();
+    if (hp_end == 0) continue;  // no HP admitted during LP k
+    ++checked;
+    EXPECT_LT(hp_end, wl.lp_start_seq[k + 1].load())
+        << "HP admitted during LP " << k << " ran after LP " << k + 1
+        << " started";
+  }
+  EXPECT_GE(checked, 5) << "too few HP requests admitted mid-LP";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WaitAndCooperative, OneShotBoundaryTest,
+    ::testing::Combine(::testing::Values(Policy::kWait, Policy::kCooperative),
+                       ::testing::Values(1, 8)),
+    [](const ::testing::TestParamInfo<std::tuple<Policy, int>>& info) {
+      return std::string(std::get<0>(info.param) == Policy::kWait
+                             ? "Wait"
+                             : "Cooperative") +
+             "_slots" + std::to_string(std::get<1>(info.param));
+    });
 
 class PendingModeTest : public ::testing::TestWithParam<uintr::PendingMode> {};
 

@@ -3,6 +3,8 @@
 // both drop and defer modes, and starvation-free delivery.
 #include <gtest/gtest.h>
 
+#include <errno.h>
+
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -268,6 +270,45 @@ TEST(Uintr, PreemptContextCanAllocate) {
   AllocHarness w;
   EXPECT_TRUE(SendUntil(w.receiver(), [&] { return w.preempt_hits() > 100; },
                         5000));
+}
+
+TEST(Uintr, HandlerPreservesInterruptedErrno) {
+  // errno is thread-local, not per context: whatever the preemptive context
+  // leaves in it must not reach the paused code after the handler returns.
+  constexpr int kSentinel = ENOTTY;
+  static std::atomic<uint64_t> hits{0};
+  hits.store(0);
+  std::atomic<Receiver*> recv{nullptr};
+  std::atomic<bool> done{false};
+  std::atomic<bool> give_up{false};
+  int seen = 0;
+  std::thread t([&] {
+    recv.store(RegisterReceiver(
+                   [](void*) {
+                     while (true) {
+                       errno = EBADF;  // e.g. an HP txn's failing syscall
+                       hits.fetch_add(1, std::memory_order_release);
+                       SwapToMain();
+                     }
+                   },
+                   nullptr, kDefaultFiberStackBytes, PendingMode::kDrop),
+               std::memory_order_release);
+    errno = kSentinel;
+    while (hits.load(std::memory_order_acquire) == 0 &&
+           !give_up.load(std::memory_order_acquire)) {
+    }
+    seen = *static_cast<volatile int*>(&errno);
+    done.store(true, std::memory_order_release);
+    UnregisterReceiver();
+  });
+  while (recv.load(std::memory_order_acquire) == nullptr) {
+    std::this_thread::yield();
+  }
+  bool preempted = SendUntil(recv.load(), [&] { return done.load(); });
+  give_up.store(true, std::memory_order_release);
+  t.join();
+  ASSERT_TRUE(preempted);
+  EXPECT_EQ(seen, kSentinel) << "the preemptive context's errno leaked";
 }
 
 TEST(Uintr, HeavyPreemptionStress) {
